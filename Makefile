@@ -24,6 +24,7 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
 lint: vet
+	@test -z "$$(gofmt -l .)" || { echo "lint: gofmt needed:"; gofmt -l .; exit 1; }
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

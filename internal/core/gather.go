@@ -61,20 +61,22 @@ func collectColumn(pr mcb.Node, mine []elem, g *groupInfo, m int, isRep bool, my
 		}
 		pr.AccountAux(int64(2 * m)) // the gathered column (the paper's O(n/k) extra memory)
 	}
+	q := mcb.IdleCoalescer{Node: pr}
 	for c := 0; c < m; c++ {
 		switch {
 		case !isRep && c >= g.myOffset && c < g.myOffset+ni:
-			pr.Write(myCol, mine[c-g.myOffset].msg(tagCollect))
+			q.Write(myCol, mine[c-g.myOffset].msg(tagCollect))
 		case isRep && c < g.myOffset:
-			msg, ok := pr.Read(myCol)
+			msg, ok := q.Read(myCol)
 			if !ok {
 				pr.Abortf("core: missing collection element %d", c)
 			}
 			col[c] = cell{e: elemFromMsg(msg)}
 		default:
-			pr.Idle()
+			q.Idle()
 		}
 	}
+	q.Flush()
 	return col
 }
 
@@ -111,24 +113,23 @@ func runColumnsortPhases(pr mcb.Node, sh matrix.Shape, isRep bool, myCol int, co
 // runTransform plays one transformation schedule. Representatives move their
 // intra-column cells locally for free, broadcast scheduled cells (staying
 // silent for dummies), and read incoming cells (silence = dummy). col is
-// updated in place at representatives.
+// updated in place at representatives. Non-representatives idle through the
+// whole schedule.
 func runTransform(pr mcb.Node, sh matrix.Shape, f matrix.Transform, sched *schedule.Schedule, isRep bool, myCol int, col []cell) {
-	var next []cell
-	if isRep {
-		next = make([]cell, len(col))
-		for r := 0; r < sh.M; r++ {
-			src := sh.Pos(myCol, r)
-			dst := f(sh, src)
-			if sh.Col(dst) == myCol {
-				next[sh.Row(dst)] = col[r]
-			}
+	if !isRep {
+		pr.IdleN(len(sched.Cycles))
+		return
+	}
+	next := make([]cell, len(col))
+	for r := 0; r < sh.M; r++ {
+		src := sh.Pos(myCol, r)
+		dst := f(sh, src)
+		if sh.Col(dst) == myCol {
+			next[sh.Row(dst)] = col[r]
 		}
 	}
+	q := mcb.IdleCoalescer{Node: pr}
 	for _, assigns := range sched.Cycles {
-		if !isRep {
-			pr.Idle()
-			continue
-		}
 		var send, recv *schedule.Assign
 		for i := range assigns {
 			a := &assigns[i]
@@ -142,20 +143,19 @@ func runTransform(pr mcb.Node, sh matrix.Shape, f matrix.Transform, sched *sched
 		sending := send != nil && !col[sh.Row(send.Src)].dummy
 		switch {
 		case sending && recv != nil:
-			msg, ok := pr.WriteRead(send.Ch, col[sh.Row(send.Src)].e.msg(tagElem), recv.Ch)
+			msg, ok := q.WriteRead(send.Ch, col[sh.Row(send.Src)].e.msg(tagElem), recv.Ch)
 			storeCell(next, sh.Row(recv.Dst), msg, ok)
 		case sending:
-			pr.Write(send.Ch, col[sh.Row(send.Src)].e.msg(tagElem))
+			q.Write(send.Ch, col[sh.Row(send.Src)].e.msg(tagElem))
 		case recv != nil:
-			msg, ok := pr.Read(recv.Ch)
+			msg, ok := q.Read(recv.Ch)
 			storeCell(next, sh.Row(recv.Dst), msg, ok)
 		default:
-			pr.Idle()
+			q.Idle()
 		}
 	}
-	if isRep {
-		copy(col, next)
-	}
+	q.Flush()
+	copy(col, next)
 }
 
 func storeCell(next []cell, row int, msg mcb.Message, ok bool) {
@@ -180,6 +180,7 @@ func redistribute(pr mcb.Node, sh matrix.Shape, g *groupInfo, isRep bool, myCol 
 	if sh.K == 1 {
 		passes = 1
 	}
+	q := mcb.IdleCoalescer{Node: pr}
 	for pass := 0; pass < passes; pass++ {
 		// Column read (if any) this pass: c1 on pass 0, c2 on pass 1.
 		readCol := -1
@@ -194,24 +195,25 @@ func redistribute(pr mcb.Node, sh matrix.Shape, g *groupInfo, isRep bool, myCol 
 			sendReal := isRep && !col[r].dummy
 			switch {
 			case sendReal && wantRead:
-				msg, ok := pr.WriteRead(myCol, col[r].e.msg(tagElem), readCol)
+				msg, ok := q.WriteRead(myCol, col[r].e.msg(tagElem), readCol)
 				if !ok {
 					pr.Abortf("core: missing redistribution rank %d", rank)
 				}
 				out[rank-lo] = elemFromMsg(msg)
 			case sendReal:
-				pr.Write(myCol, col[r].e.msg(tagElem))
+				q.Write(myCol, col[r].e.msg(tagElem))
 			case wantRead:
-				msg, ok := pr.Read(readCol)
+				msg, ok := q.Read(readCol)
 				if !ok {
 					pr.Abortf("core: missing redistribution rank %d", rank)
 				}
 				out[rank-lo] = elemFromMsg(msg)
 			default:
-				pr.Idle()
+				q.Idle()
 			}
 		}
 	}
+	q.Flush()
 	if isRep {
 		// Take my own column's portion locally.
 		for r := 0; r < m; r++ {

@@ -117,7 +117,9 @@ func SortWithRetry(inputs [][]int64, opts SortOptions) ([][]int64, *Report, erro
 // (non-checkpointed) attempt: when the failure is attributable to scripted
 // outages, the suspect channels are dropped so the next attempt runs on the
 // survivors.
-func degradeOnSuspects(pol mcb.RetryPolicy, cs *chanState, plan *mcb.FaultPlan, stats interface{ faultStats() (*mcb.FaultStats, int64) }) {
+func degradeOnSuspects(pol mcb.RetryPolicy, cs *chanState, plan *mcb.FaultPlan, stats interface {
+	faultStats() (*mcb.FaultStats, int64)
+}) {
 	if !pol.DegradeOnOutage || stats == nil {
 		return
 	}

@@ -400,20 +400,22 @@ func collectSurvivors(pr mcb.Node, cands []elem, d, m int, phases string) elem {
 	if id == 0 {
 		collected = append(collected, cands...)
 	}
+	q := mcb.IdleCoalescer{Node: pr}
 	for c := 0; c < m; c++ {
 		switch {
 		case id != 0 && c >= offset && c < offset+len(cands):
-			pr.Write(0, cands[c-offset].msg(tagSel))
+			q.Write(0, cands[c-offset].msg(tagSel))
 		case id == 0 && c >= len(cands):
-			msg, ok := pr.Read(0)
+			msg, ok := q.Read(0)
 			if !ok {
 				pr.Abortf("core: selection: missing candidate %d", c)
 			}
 			collected = append(collected, elemFromMsg(msg))
 		default:
-			pr.Idle()
+			q.Idle()
 		}
 	}
+	q.Flush()
 	var resMsg mcb.Message
 	var ok bool
 	if id == 0 {

@@ -29,16 +29,18 @@ const (
 	// the resolver finishing on another core; degrades superlinearly as p
 	// grows (O(p) parked goroutines woken per cycle).
 	EngineGoroutine EngineMode = "goroutine"
-	// EngineSharded coordinates the cycle through M ~ GOMAXPROCS workers,
-	// each owning a contiguous shard of p/M processors. Resolution is a
-	// two-stage parallel protocol: each worker pre-aggregates its shard's
-	// submissions before arriving at the O(M) worker barrier (stage 1), the
-	// last arriver merges the M shard aggregates in processor-id order and
-	// commits (stage 2), and after release every worker scatters read
-	// results to its own shard in parallel (stage 3). Processors inside
-	// IdleN batches sleep off the workers' active lists, so idle-heavy
-	// cycles cost O(active), not O(p). Built for p in the tens of thousands
-	// (see DESIGN.md "The sharded engine").
+	// EngineSharded runs the processors as coroutines stepped by M ~
+	// GOMAXPROCS workers, each owning a contiguous shard of p/M processors:
+	// a submission is a yield back to the worker, so no processor ever waits
+	// in the scheduler. Resolution is a two-stage parallel protocol: each
+	// worker pre-aggregates its shard's submissions before arriving at the
+	// O(M) worker barrier (stage 1), the last arriver merges the M shard
+	// aggregates in processor-id order and commits (stage 2), and after
+	// release every worker scatters read results to its own shard in
+	// parallel (stage 3). Processors inside IdleN batches are neither
+	// resumed nor walked until their batch ends, so a cycle costs O(active)
+	// coroutine switches plus the O(M) rendezvous, not O(p). Built for p in
+	// the thousands and up (see DESIGN.md "The sharded engine").
 	EngineSharded EngineMode = "sharded"
 )
 
@@ -66,7 +68,7 @@ type Config struct {
 	K int
 	// Engine selects the execution engine: EngineGoroutine (one goroutine
 	// per processor), EngineSharded (M ~ GOMAXPROCS workers stepping p/M
-	// virtual processors each), or EngineAuto (the default: sharded for
+	// processor coroutines each), or EngineAuto (the default: sharded for
 	// P >= 1024). Reports are byte-identical across engines.
 	Engine EngineMode
 	// Trace enables full per-cycle traffic recording (expensive; tests only).
@@ -220,13 +222,6 @@ type abortPanic struct{ err error }
 // crash-stop fires; the run itself keeps going.
 type crashPanic struct{}
 
-// paddedInt64 is a cache-line-isolated signed atomic, used for the per-worker
-// outstanding-submission countdowns of the sharded engine.
-type paddedInt64 struct {
-	v atomic.Int64
-	_ [cacheLine - 8]byte
-}
-
 type engine struct {
 	cfg  Config
 	fast bool       // no faults and no trace: resolve takes the specialized path
@@ -238,12 +233,9 @@ type engine struct {
 	// resolver-owned (synchronized by the barrier like live/liveN).
 	shardChunk    int
 	shards        []shardWorker
-	gates         []chan struct{} // per-processor wake gates, cap 1
-	idleBatch     []paddedMirror  // per-processor pending IdleN batch length
-	shardPend     []paddedInt64   // per-worker outstanding submissions this cycle
-	workerWake    []chan struct{} // per-worker "all submissions in" tokens, cap 1
-	workerLive    []int           // per-worker live processor count
-	activeWorkers int             // workers with at least one live processor
+	idleBatch     []int // per-processor pending IdleN batch length, set before the yield
+	workerLive    []int // per-worker live processor count
+	activeWorkers int   // workers with at least one live processor
 
 	slots      []paddedOp     // per-processor cycle submissions
 	results    []paddedResult // per-processor read results
@@ -329,14 +321,6 @@ func (e *engine) abort(err error) {
 	e.barMu.Lock()
 	e.barCond.Broadcast()
 	e.barMu.Unlock()
-	// Sharded mode: also wake workers sleeping on their submission token so
-	// they observe the failure and release their parked processors.
-	for w := range e.workerWake {
-		select {
-		case e.workerWake[w] <- struct{}{}:
-		default:
-		}
-	}
 }
 
 func (e *engine) abortError() error {
@@ -355,14 +339,15 @@ func (e *engine) softErr(err error) {
 	e.abortMu.Unlock()
 }
 
-// step counts processor id's arrival for the current cycle — the processor
-// has already written its submission into slots[id] — and, once every live
+// step counts processor p's arrival for the current cycle — the processor
+// has already written its submission into its slot — and, once every live
 // processor has arrived, resolves the cycle. It blocks until resolution and
 // returns the read result for reading ops.
-func (e *engine) step(id int, kind opKind) readResult {
+func (e *engine) step(p *Proc, kind opKind) readResult {
 	if e.mode == EngineSharded {
-		return e.stepSharded(id, kind)
+		return e.stepSharded(p)
 	}
+	id := p.id
 	if e.failed.Load() {
 		panic(abortPanic{e.abortError()})
 	}
@@ -999,45 +984,22 @@ func RunContext(ctx context.Context, cfg Config, programs []func(Node)) (*Result
 	}
 
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.P; i++ {
-		p := &Proc{id: i, e: e}
-		prog := programs[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if cfg.ProfileLabels {
-				p.setProfileLabels("")
-			}
-			defer func() {
-				r := recover()
-				switch r := r.(type) {
-				case nil:
-					// Normal return: leave the lock-step protocol.
-					p.exit()
-				case abortPanic:
-					// Engine already failed; nobody waits for us.
-				case crashPanic:
-					// Injected crash-stop: the processor dies silently but
-					// leaves the barrier protocol so the survivors keep
-					// running. The crash is surfaced as a CrashError at the
-					// end of the run, not as an immediate abort.
-					p.exit()
-				default:
-					// Program bug: record it, then exit the protocol so the
-					// remaining processors are not deadlocked.
-					e.softErr(fmt.Errorf("%w: processor %d panicked: %v", ErrAborted, p.id, r))
-					p.exit()
-				}
+	if e.mode == EngineSharded {
+		for w := range e.shards {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e.workerRun(w, programs)
 			}()
-			prog(p)
-		}()
-	}
-	for w := range e.shards {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			e.workerRun(w)
-		}(w)
+		}
+	} else {
+		for i := 0; i < cfg.P; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e.runProc(&Proc{id: i, e: e}, programs[i])
+			}()
+		}
 	}
 
 	stall := cfg.StallTimeout
@@ -1109,6 +1071,46 @@ func RunContext(ctx context.Context, cfg Config, programs []func(Node)) (*Result
 			}
 		}
 	}
+}
+
+// runProc runs prog as processor p — on its own goroutine (goroutine engine)
+// or inside its worker's coroutine (sharded engine) — and leaves the
+// lock-step protocol however the program ends.
+func (e *engine) runProc(p *Proc, prog func(Node)) {
+	if e.cfg.ProfileLabels {
+		p.setProfileLabels("")
+	}
+	returned := false
+	defer func() {
+		r := recover()
+		switch r := r.(type) {
+		case nil:
+			if !returned {
+				// runtime.Goexit: the program abandoned the protocol without
+				// returning. Under the sharded engine the Goexit unwinds the
+				// owning worker too, so the run cannot go on without it.
+				e.abort(&AbortError{Proc: p.id, VProc: -1, Msg: "program called runtime.Goexit"})
+				return
+			}
+			// Normal return: leave the lock-step protocol.
+			p.exit()
+		case abortPanic:
+			// Engine already failed; nobody waits for us.
+		case crashPanic:
+			// Injected crash-stop: the processor dies silently but leaves
+			// the barrier protocol so the survivors keep running. The crash
+			// is surfaced as a CrashError at the end of the run, not as an
+			// immediate abort.
+			p.exit()
+		default:
+			// Program bug: record it, then exit the protocol so the
+			// remaining processors are not deadlocked.
+			e.softErr(fmt.Errorf("%w: processor %d panicked: %v", ErrAborted, p.id, r))
+			p.exit()
+		}
+	}()
+	prog(p)
+	returned = true
 }
 
 // RunUniform runs the same program on every processor; the program

@@ -66,3 +66,58 @@ func (v *VProc) Phase(name string) {}
 // Cycles returns the number of virtual cycles this processor has
 // participated in.
 func (v *VProc) Cycles() int64 { return v.vcycles }
+
+// IdleCoalescer wraps a Node so that a run of consecutive Idle (and IdleN)
+// calls is issued as one IdleN, flushed before the next Write, Read,
+// WriteRead, Phase or Cycles. Under the sharded engine an idle stretch then
+// costs its processor one submission and one sleep instead of one resume per
+// cycle; the cycle-by-cycle op sequence, and so every Report, is unchanged.
+// Call Flush before using the wrapped Node directly again or returning.
+type IdleCoalescer struct {
+	Node
+	pending int
+}
+
+// Idle defers one idle cycle to the next flush.
+func (c *IdleCoalescer) Idle() { c.pending++ }
+
+// IdleN defers n idle cycles to the next flush.
+func (c *IdleCoalescer) IdleN(n int) { c.pending += max(n, 0) }
+
+// Flush issues the pending idle cycles as one IdleN.
+func (c *IdleCoalescer) Flush() {
+	if c.pending > 0 {
+		c.Node.IdleN(c.pending)
+		c.pending = 0
+	}
+}
+
+// WriteRead flushes, then forwards.
+func (c *IdleCoalescer) WriteRead(writeCh int, m Message, readCh int) (Message, bool) {
+	c.Flush()
+	return c.Node.WriteRead(writeCh, m, readCh)
+}
+
+// Write flushes, then forwards.
+func (c *IdleCoalescer) Write(writeCh int, m Message) {
+	c.Flush()
+	c.Node.Write(writeCh, m)
+}
+
+// Read flushes, then forwards.
+func (c *IdleCoalescer) Read(readCh int) (Message, bool) {
+	c.Flush()
+	return c.Node.Read(readCh)
+}
+
+// Phase flushes, so the marker rides on the op that follows the idle run.
+func (c *IdleCoalescer) Phase(name string) {
+	c.Flush()
+	c.Node.Phase(name)
+}
+
+// Cycles flushes, so the count includes the pending idle cycles.
+func (c *IdleCoalescer) Cycles() int64 {
+	c.Flush()
+	return c.Node.Cycles()
+}

@@ -12,10 +12,12 @@ import (
 // long as any other processor is still running; returning from the program
 // leaves the lock-step protocol.
 //
-// A Proc is confined to its program goroutine and must not be shared.
+// A Proc is confined to its program (a goroutine, or under the sharded engine
+// a coroutine) and must not be shared.
 type Proc struct {
-	id int
-	e  *engine
+	id    int
+	e     *engine
+	yield func(struct{}) bool // sharded engine: hands the submission to the worker
 
 	auxWords int64    // current auxiliary-memory estimate (words), see AccountAux
 	steps    int64    // cycles this processor has participated in
@@ -99,7 +101,7 @@ func (p *Proc) issue(kind opKind, writeCh, readCh int32, msg Message) readResult
 		}
 	}
 	p.fillSlot(kind, writeCh, readCh, msg)
-	return p.e.step(p.id, kind)
+	return p.e.step(p, kind)
 }
 
 // WriteRead broadcasts m on channel writeCh and reads channel readCh in the
@@ -158,14 +160,15 @@ func (p *Proc) IdleN(n int) {
 	p.fillSlot(opIdle, 0, 0, Message{})
 	if p.e.mode == EngineSharded {
 		// One submission covers the whole stretch: the owning worker replays
-		// the opIdle slot for the remaining cycles without waking this
-		// goroutine (see engine.stepIdleBatch). Steps and the watchdog mirror
-		// are pre-credited — the goroutine parks for the stretch, so the
+		// the opIdle slot for the remaining cycles and resumes this processor
+		// only once they have passed. Steps and the watchdog mirror are
+		// pre-credited — the processor is suspended for the stretch, so the
 		// per-cycle mirror updates would never be observed mid-flight anyway.
 		p.steps += int64(n)
 		p.mirOps += uint64(n - 1)
 		p.e.procMirror[p.id].v.Store(p.mirOps<<3 | uint64(opIdle))
-		p.e.stepIdleBatch(p.id, n)
+		p.e.idleBatch[p.id] = n
+		p.e.stepSharded(p)
 		return
 	}
 	mir := &p.e.procMirror[p.id].v
@@ -175,7 +178,7 @@ func (p *Proc) IdleN(n int) {
 			p.mirOps++
 			mir.Store(p.mirOps<<3 | uint64(opIdle))
 		}
-		p.e.step(p.id, opIdle)
+		p.e.step(p, opIdle)
 	}
 }
 
@@ -215,5 +218,5 @@ func (p *Proc) AccountAux(delta int64) {
 func (p *Proc) exit() {
 	defer func() { _ = recover() }()
 	p.fillSlot(opExit, 0, 0, Message{})
-	p.e.step(p.id, opExit)
+	p.e.step(p, opExit)
 }

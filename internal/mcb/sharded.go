@@ -2,62 +2,70 @@ package mcb
 
 import (
 	"fmt"
+	"iter"
 	"runtime"
 )
 
 // This file is the sharded execution engine (Config.Engine = EngineSharded):
-// the p >> cores regime the paper's algorithms are stated in. Processor
-// programs still run on their own goroutines (they are arbitrary blocking
-// func(Node) bodies), but the per-cycle coordination is delegated to
-// M = min(GOMAXPROCS, p) workers, each owning a contiguous shard of p/M
-// processors, and cycle resolution runs as a two-stage parallel protocol:
+// the p >> cores regime the paper's algorithms are stated in. M =
+// min(GOMAXPROCS, p) workers each own a contiguous shard of p/M processors
+// and step them as coroutines (iter.Pull): a processor program is an
+// arbitrary blocking func(Node) body, but under this engine it only ever runs
+// while its owning worker has resumed it, and submitting a cycle op is a
+// yield back to that worker. A cycle then runs as a two-stage parallel
+// protocol:
 //
-//   - A processor submits its cycle op by writing its slot (exactly as in
-//     goroutine mode), decrementing its worker's outstanding-submission
-//     countdown, and parking on its private gate channel. It never touches
-//     the shared barrier.
-//   - Stage 1 (parallel, pre-barrier): once its countdown drains, each worker
-//     folds its own shard — phase-marker ids, write ops into a per-shard
-//     per-channel claim vector (first writer id + message; a second intra-
-//     shard writer is a collision), read and exit lists — and only then
-//     arrives at the shared arrived/expected barrier, which in this mode
-//     counts workers, not processors. The fold walks the worker's ACTIVE
-//     list, not the shard range: processors replaying IdleN batches sleep in
-//     a (wake-round, id) min-heap and cost nothing per cycle, so idle-heavy
-//     phases (the §8 selection-filter shape) cost O(active), not O(p).
+//   - Stepping (parallel): each worker resumes its ACTIVE processors in id
+//     order; each runs its local computation up to its next cycle op, writes
+//     its slot (exactly as in goroutine mode) and yields. Processors replaying
+//     IdleN batches sleep in a (wake-round, id) min-heap and are neither
+//     resumed nor walked, so idle-heavy phases (the §8 selection-filter
+//     shape) cost O(active), not O(p).
+//   - Stage 1 (parallel, pre-barrier): the worker folds its own shard —
+//     phase-marker ids, write ops into a per-shard per-channel claim vector
+//     (first writer id + message; a second intra-shard writer is a
+//     collision), read and exit lists — and only then arrives at the shared
+//     arrived/expected barrier, which in this mode counts workers, not
+//     processors.
 //   - Stage 2 (serial, last arriver): resolveMerge merges the M claim
 //     vectors in shard order — which is processor-id order, so collision
 //     attribution, abort order and phase-marker order are byte-identical to
 //     the serial resolver — and commits channel registers and stats over the
 //     touched channels only.
 //   - Stage 3 (parallel, post-release): every worker scatters the read
-//     results to its own shard from the merged channel registers, then wakes
-//     exactly the owned processors that owe a fresh submission.
+//     results to its own shard from the merged channel registers; the
+//     processors see them when next resumed.
 //
 // The general resolver (faults/trace/recorder) keeps its serial
 // processor-id-order semantics — it scans the concatenated active lists
 // instead of claim vectors — but gains the same active-list skip.
 //
-// The per-cycle cost model: one gate send + one countdown RMW per ACTIVE
-// processor, an O(active/M) stage-1 fold and stage-3 scatter per worker in
-// parallel, an O(M) worker rendezvous, and an O(writes + M) stage-2 merge —
-// versus the goroutine engine's O(p) barrier arrivals and the previous
-// sharded design's three serial O(p) resolver passes plus O(K) register
-// clear per cycle. See DESIGN.md "The sharded engine".
+// The per-cycle cost model: one coroutine switch pair per ACTIVE processor
+// (no channel operation, no scheduler wake-up), an O(active/M) fold and
+// scatter per worker in parallel, an O(M) worker rendezvous, and an
+// O(writes + M) merge. See DESIGN.md "The sharded engine".
+//
+// Failure: a worker leaves its loop as soon as it sees the run failed (after
+// a resume, or at the rendezvous) and stops every coroutine of its shard on
+// the way out; a processor suspended in a submission sees its yield return
+// false and unwinds through the normal abort path, and one that never
+// started never runs. A program that blocks outside the engine blocks its
+// worker (and so its shard) until it returns, exactly as it would wedge the
+// goroutine engine's barrier; the stall watchdog reports it.
 //
 // Memory ordering: a processor's slot write happens-before the worker's fold
-// via the countdown RMW chain and the wake token; every worker's fold
+// because the coroutine switch hands control (and the race detector's
+// happens-before edge) back to the worker; every worker's fold
 // happens-before the merge via the arrived counter's RMW chain; the merge's
 // register and stats writes happen-before the scatters via the barrier
 // generation bump (release) and each worker's acquire load in await; a
-// worker's scatter writes happen-before its processors' reads via the gate
-// send, and happen-before the NEXT merge (which clears the registers) via
-// the next cycle's arrived chain. All edges are sync/atomic or channel
-// operations, so the race detector checks them for real.
+// worker's scatter writes happen-before its processors' reads via the
+// resume, and happen-before the NEXT merge (which clears the registers) via
+// the next cycle's arrived chain.
 
 // sleeper is one processor inside an IdleN batch: its slot keeps standing for
 // a bare opIdle every cycle without any per-cycle work, and it rejoins the
-// active list (regaining its gate token) at round wake.
+// active list (and is resumed again) at round wake.
 type sleeper struct {
 	wake int64
 	id   int32
@@ -83,6 +91,11 @@ type readerRec struct {
 type shardWorker struct {
 	lo, hi int
 	round  int64 // index of the round currently being collected
+
+	// next[i] resumes processor lo+i up to its next submission; it reports
+	// false once the program has unwound. stop[i] unwinds it for good.
+	next []func() (struct{}, bool)
+	stop []func()
 
 	// active holds the owned ids that owe a fresh submission each cycle —
 	// live and not inside an IdleN batch — in ascending order, so the merge
@@ -156,9 +169,7 @@ func (wk *shardWorker) popSleep() sleeper {
 }
 
 // initShards sizes the worker set and allocates the sharded-mode state.
-// Called from Run before any goroutine starts. The countdowns start primed:
-// in round 0 the processors submit unprompted (nobody is parked yet), so the
-// workers' first act is to wait for their tokens.
+// Called from Run before any worker starts.
 func (e *engine) initShards() {
 	p, k := e.cfg.P, e.cfg.K
 	m := runtime.GOMAXPROCS(0)
@@ -172,13 +183,7 @@ func (e *engine) initShards() {
 	nw := (p + chunk - 1) / chunk
 	e.shardChunk = chunk
 	e.shards = make([]shardWorker, nw)
-	e.gates = make([]chan struct{}, p)
-	for i := range e.gates {
-		e.gates[i] = make(chan struct{}, 1)
-	}
-	e.idleBatch = make([]paddedMirror, p)
-	e.shardPend = make([]paddedInt64, nw)
-	e.workerWake = make([]chan struct{}, nw)
+	e.idleBatch = make([]int, p)
 	e.workerLive = make([]int, nw)
 	if e.fast {
 		e.chTouched = make([]int32, 0, k)
@@ -192,6 +197,8 @@ func (e *engine) initShards() {
 		n := hi - lo
 		wk := shardWorker{
 			lo: lo, hi: hi,
+			next:      make([]func() (struct{}, bool), n),
+			stop:      make([]func(), n),
 			active:    make([]int32, n, n),
 			sleep:     make([]sleeper, 0, n),
 			wakes:     make([]int32, 0, n),
@@ -217,85 +224,29 @@ func (e *engine) initShards() {
 		wk.exits = make([]int32, 0, n)
 		e.shards[w] = wk
 		e.workerLive[w] = n
-		e.shardPend[w].v.Store(int64(n))
-		e.workerWake[w] = make(chan struct{}, 1)
 	}
 	e.activeWorkers = nw
 	e.expected.Store(int32(nw))
 }
 
-// stepSharded is the sharded-mode counterpart of step: processor id has
-// already written its submission into slots[id]; announce it to the owning
-// worker and park until the cycle is resolved. Exiting processors do not wait
-// for the outcome, exactly like the goroutine engine.
-func (e *engine) stepSharded(id int, kind opKind) readResult {
-	if e.failed.Load() {
+// stepSharded is the sharded-mode counterpart of step: processor p has
+// already written its submission into its slot (and, for an IdleN batch, its
+// length into idleBatch); hand control back to the owning worker, which
+// resumes p once the cycle is resolved — or, for an IdleN batch, once the
+// whole stretch has passed. Exiting processors are never resumed before the
+// worker unwinds them.
+func (e *engine) stepSharded(p *Proc) readResult {
+	if e.failed.Load() || !p.yield(struct{}{}) {
 		panic(abortPanic{e.abortError()})
 	}
-	e.submitShard(id)
-	if kind == opExit {
-		return readResult{}
-	}
-	<-e.gates[id]
-	if e.failed.Load() {
-		panic(abortPanic{e.abortError()})
-	}
-	return e.results[id].r
-}
-
-// submitShard counts processor id's submission against its worker's
-// countdown; the last submission of the shard hands the worker its wake
-// token. The send is non-blocking because abort() may already have stuffed
-// the buffer.
-func (e *engine) submitShard(id int) {
-	w := id / e.shardChunk
-	if e.shardPend[w].v.Add(-1) == 0 {
-		select {
-		case e.workerWake[w] <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// stepIdleBatch announces an n-cycle idle stretch (the slot already holds the
-// opIdle submission and the mirror has been pre-credited, see Proc.IdleN) and
-// parks for the whole stretch: the worker moves this processor to its sleep
-// heap, the opIdle slot stands for the remaining n-1 cycles without waking
-// this goroutine, and the gate send only comes with the end of the batch.
-func (e *engine) stepIdleBatch(id int, n int) {
-	if e.failed.Load() {
-		panic(abortPanic{e.abortError()})
-	}
-	// The batch length must be visible before the submission is counted: the
-	// worker reads idleBatch only after receiving the token the count drains
-	// into.
-	e.idleBatch[id].v.Store(uint64(n))
-	e.submitShard(id)
-	<-e.gates[id]
-	if e.failed.Load() {
-		panic(abortPanic{e.abortError()})
-	}
-}
-
-// wakeShardProcs releases every owned processor gate (non-blocking: cap-1
-// buffers make the token idempotent). Called by a worker leaving its loop on
-// failure, so that parked processors wake, observe the failed flag and unwind
-// — including a processor that parks AFTER this runs, since the token stays
-// buffered for it.
-func (e *engine) wakeShardProcs(wk *shardWorker) {
-	for i := wk.lo; i < wk.hi; i++ {
-		select {
-		case e.gates[i] <- struct{}{}:
-		default:
-		}
-	}
+	return e.results[p.id].r
 }
 
 // refreshActive brings the worker's active list up to date for the round
 // about to be collected: processors that exited last cycle drop out, and
 // sleepers whose batch ends this round fold back in, keeping the list
-// ascending. Reactivated processors get their gate token from the caller's
-// normal wake pass like everyone else.
+// ascending. Reactivated processors are resumed by the caller's stepping
+// pass like everyone else.
 func (e *engine) refreshActive(wk *shardWorker) {
 	keep := wk.active[:0]
 	for _, id := range wk.active {
@@ -573,16 +524,30 @@ func (e *engine) shardFinish(wk *shardWorker) {
 	wk.phaseIDs = wk.phaseIDs[:0]
 }
 
-// workerRun is the sharded engine's per-worker loop. One iteration is one
-// cycle: refresh the active list, wake and collect the shard's submissions,
-// pre-aggregate them (stage 1), rendezvous (stage 2 on the last arriver),
-// then scatter results (stage 3).
-func (e *engine) workerRun(w int) {
+// workerRun is the sharded engine's per-worker loop over the shard's
+// processor programs. One iteration is one cycle: refresh the active list,
+// step the active processors to their submissions, pre-aggregate them
+// (stage 1), rendezvous (stage 2 on the last arriver), then scatter results
+// (stage 3). However the loop ends — a fully exited shard, a failed run, or
+// a program's runtime.Goexit unwinding through a resume — the deferred pass
+// stops every coroutine, so none outlives the worker.
+func (e *engine) workerRun(w int, programs []func(Node)) {
 	wk := &e.shards[w]
-	first := true
+	defer func() {
+		for _, stop := range wk.stop {
+			stop()
+		}
+	}()
+	for i := range wk.next {
+		p := &Proc{id: wk.lo + i, e: e}
+		prog := programs[p.id]
+		wk.next[i], wk.stop[i] = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			e.runProc(p, prog)
+		})
+	}
 	for {
 		if e.failed.Load() {
-			e.wakeShardProcs(wk)
 			return
 		}
 		g := e.barGen.Load()
@@ -592,39 +557,27 @@ func (e *engine) workerRun(w int) {
 			// worker from the barrier head count (markExited).
 			return
 		}
-		if pending := len(wk.active); pending > 0 {
-			// The countdown must be primed before the first gate opens: a
-			// woken processor may submit immediately. Round 0 is special —
-			// the countdown was primed by initShards and the processors
-			// self-start, so the worker neither stores nor wakes.
-			if !first {
-				e.shardPend[w].v.Store(int64(pending))
-				for _, id := range wk.active {
-					e.gates[id] <- struct{}{}
-				}
-			}
-			<-e.workerWake[w]
-			if e.failed.Load() {
-				e.wakeShardProcs(wk)
+		// Step the active processors in id order. A newly announced IdleN
+		// batch moves its processor to the sleep heap: the announcing
+		// submission is this round's opIdle, and the processor is next
+		// resumed at round+n. A round with no active processor costs this
+		// worker O(1): every owned live processor is mid-batch and its slot
+		// already holds this cycle's opIdle.
+		keep := wk.active[:0]
+		for _, id := range wk.active {
+			if _, ok := wk.next[int(id)-wk.lo](); !ok {
+				// The program unwound without submitting, which only a
+				// failed run makes it do (runProc exits every other way).
 				return
 			}
-			// Move newly announced IdleN batches to the sleep heap: the
-			// announcing submission is this round's opIdle, the processor
-			// sleeps through the stretch and rejoins at round+n.
-			keep := wk.active[:0]
-			for _, id := range wk.active {
-				if n := e.idleBatch[id].v.Load(); n != 0 {
-					e.idleBatch[id].v.Store(0)
-					wk.pushSleep(wk.round+int64(n), id)
-				} else {
-					keep = append(keep, id)
-				}
+			if n := e.idleBatch[id]; n != 0 {
+				e.idleBatch[id] = 0
+				wk.pushSleep(wk.round+int64(n), id)
+			} else {
+				keep = append(keep, id)
 			}
-			wk.active = keep
 		}
-		// A round with no active processor skips the token wait entirely:
-		// every owned live processor is mid-batch, their slots already hold
-		// this cycle's opIdle, and the cycle costs this worker O(1).
+		wk.active = keep
 		if e.fast {
 			e.foldShard(wk)
 		}
@@ -636,13 +589,11 @@ func (e *engine) workerRun(w int) {
 			e.await(g)
 		}
 		if e.failed.Load() {
-			e.wakeShardProcs(wk)
 			return
 		}
 		if e.fast {
 			e.shardFinish(wk)
 		}
 		wk.round++
-		first = false
 	}
 }

@@ -129,8 +129,8 @@ func TestShardedLargeP(t *testing.T) {
 
 // TestShardedNoLeakAfterAborts drives every abort flavour through the sharded
 // engine and checks that workers, processors and the run itself all drain:
-// a failure while workers sleep on their submission tokens and processors
-// park on their gates must wake everybody.
+// a failure while processors sit suspended mid-submission or mid-IdleN-batch
+// must unwind every coroutine.
 func TestShardedNoLeakAfterAborts(t *testing.T) {
 	base := runtime.NumGoroutine()
 
@@ -184,9 +184,9 @@ func TestShardedNoLeakAfterAborts(t *testing.T) {
 	waitGoroutines(t, base, 5*time.Second)
 }
 
-// TestShardedStallWatchdog: a processor that stops issuing ops leaves its
-// worker asleep on the submission token; the stall watchdog must still fire
-// and the run must drain.
+// TestShardedStallWatchdog: a processor that stops issuing ops blocks its
+// worker mid-resume; the stall watchdog must still fire and the run must
+// drain.
 func TestShardedStallWatchdog(t *testing.T) {
 	base := runtime.NumGoroutine()
 	c := shardedCfg(3, 1)
@@ -209,7 +209,7 @@ func TestShardedStallWatchdog(t *testing.T) {
 }
 
 // TestShardedSteadyStateZeroAllocs is the sharded-engine variant of
-// TestSteadyStateCycleZeroAllocs: worker rounds, gate handoffs and the batched
+// TestSteadyStateCycleZeroAllocs: worker rounds, coroutine switches and the batched
 // resolver must all be allocation-free in the steady state.
 func TestShardedSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {

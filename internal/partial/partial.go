@@ -154,6 +154,7 @@ func Total(p mcb.Node, a int64, op Op) int64 {
 func bottomUp(p mcb.Node, a int64, op Op) []int64 {
 	P, K, id := p.P(), p.K(), p.ID()
 	L := levels(P)
+	q := mcb.IdleCoalescer{Node: p}
 	nodeVal := make([]int64, L+1)
 	nodeVal[0] = a
 	for l := 0; l < L; l++ {
@@ -168,9 +169,9 @@ func bottomUp(p mcb.Node, a int64, op Op) []int64 {
 			isParent := id%span == 0 && id/span >= b*K && id/span < (b+1)*K
 			switch {
 			case isRightChild:
-				p.Write(id/span%K, mcb.MsgX(tagPartial, nodeVal[l]))
+				q.Write(id/span%K, mcb.MsgX(tagPartial, nodeVal[l]))
 			case isParent:
-				m, ok := p.Read(id / span % K)
+				m, ok := q.Read(id / span % K)
 				r := op.Identity
 				if ok {
 					r = m.X
@@ -178,10 +179,11 @@ func bottomUp(p mcb.Node, a int64, op Op) []int64 {
 				nodeVal[l+1] = op.Apply(nodeVal[l], r)
 				continue
 			default:
-				p.Idle()
+				q.Idle()
 			}
 		}
 	}
+	q.Flush()
 	return nodeVal
 }
 
@@ -194,6 +196,7 @@ func bottomUpTopDown(p mcb.Node, a int64, op Op) int64 {
 	}
 	nodeVal := bottomUp(p, a, op)
 	L := levels(P)
+	q := mcb.IdleCoalescer{Node: p}
 	// f[l] is the prefix arriving from above at this processor's level-l
 	// node. The root (level L, simulated by P_0) starts with the identity.
 	f := op.Identity
@@ -208,18 +211,19 @@ func bottomUpTopDown(p mcb.Node, a int64, op Op) int64 {
 			case isParent:
 				// Send F ⊕ L to the right son; keep F for the left son
 				// (same simulator). nodeVal[l-1] is the left child value.
-				p.Write(id/span%K, mcb.MsgX(tagPartial, op.Apply(f, nodeVal[l-1])))
+				q.Write(id/span%K, mcb.MsgX(tagPartial, op.Apply(f, nodeVal[l-1])))
 			case isRightChild:
-				m, ok := p.Read(id / span % K)
+				m, ok := q.Read(id / span % K)
 				if !ok {
 					p.Abortf("partial: missing top-down message at level %d", l)
 				}
 				f = m.X
 			default:
-				p.Idle()
+				q.Idle()
 			}
 		}
 	}
+	q.Flush()
 	return f
 }
 
@@ -235,28 +239,30 @@ func neighborFromRight(p mcb.Node, v int64) int64 {
 		return 0
 	}
 	batches := ceilDiv(P, K)
+	q := mcb.IdleCoalescer{Node: p}
 	var got int64
 	for b := 0; b < batches; b++ {
 		writes := id >= b*K && id < (b+1)*K && id > 0
 		reads := id+1 >= b*K && id+1 < (b+1)*K && id+1 < P
 		switch {
 		case writes && reads:
-			m, ok := p.WriteRead(id%K, mcb.MsgX(tagPartial, v), (id+1)%K)
+			m, ok := q.WriteRead(id%K, mcb.MsgX(tagPartial, v), (id+1)%K)
 			if !ok {
 				p.Abortf("partial: missing neighbor value")
 			}
 			got = m.X
 		case writes:
-			p.Write(id%K, mcb.MsgX(tagPartial, v))
+			q.Write(id%K, mcb.MsgX(tagPartial, v))
 		case reads:
-			m, ok := p.Read((id + 1) % K)
+			m, ok := q.Read((id + 1) % K)
 			if !ok {
 				p.Abortf("partial: missing neighbor value")
 			}
 			got = m.X
 		default:
-			p.Idle()
+			q.Idle()
 		}
 	}
+	q.Flush()
 	return got
 }

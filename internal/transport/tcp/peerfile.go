@@ -44,6 +44,7 @@ type CutSpec struct {
 //	  ],
 //	  "cut_channels": [{"ch": 2, "from": 100}]
 //	}
+//
 // With failover, "sequencer" generalizes to an ordered candidate list:
 //
 //	"sequencers": ["127.0.0.1:7700", "127.0.0.1:7701"]

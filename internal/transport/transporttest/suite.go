@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,18 +255,31 @@ func testBudget(t *testing.T, f Factory) {
 
 // testStall wedges the lock-step protocol (one processor stops issuing ops
 // while the rest wait on it) and requires the stall watchdog to fire with
-// per-processor diagnostics. The wedged program unblocks shortly after so
-// the leak check can observe a fully drained transport.
+// per-processor diagnostics, within the latency its settings imply: the
+// watchdog trips on its second tick without progress, so the live programs
+// see the abort within 2*StallTimeout, and an in-process Run returns
+// AbortGrace later without waiting for the wedged program (and so without
+// a Result). A distributed transport's Run waits for its own programs, so
+// there a timer unblocks the wedged program; it is released exactly once
+// either way, and the leak check then observes a fully drained transport.
 func testStall(t *testing.T, f Factory) {
 	leakCheck(t)
 	const p, k = 4, 2
+	const stall, grace, slack = 150 * time.Millisecond, 200 * time.Millisecond, time.Second
 	tr := f(t, p, k)
 	defer tr.Close()
 
 	unblock := make(chan struct{})
-	timer := time.AfterFunc(1500*time.Millisecond, func() { close(unblock) })
-	defer timer.Stop()
+	var once sync.Once
+	release := func() { once.Do(func() { close(unblock) }) }
+	defer release()
+	if !tr.InProcess() {
+		timer := time.AfterFunc(1500*time.Millisecond, release)
+		defer timer.Stop()
+	}
 
+	var sawAbort atomic.Int64 // when the first live program unwound, since start
+	start := time.Now()
 	progs := make([]func(mcb.Node), p)
 	for i := 0; i < p; i++ {
 		id := i
@@ -272,13 +287,16 @@ func testStall(t *testing.T, f Factory) {
 			n.IdleN(4)
 			if id == 0 {
 				<-unblock // wedge: never issues its next op until unblocked
+			} else {
+				defer func() { sawAbort.CompareAndSwap(0, int64(time.Since(start))) }()
 			}
 			for {
 				n.Idle()
 			}
 		}
 	}
-	_, err := tr.Run(context.Background(), mcb.Config{P: p, K: k, StallTimeout: 150 * time.Millisecond}, progs)
+	res, err := tr.Run(context.Background(), mcb.Config{P: p, K: k, StallTimeout: stall, AbortGrace: grace}, progs)
+	elapsed := time.Since(start)
 	var se *mcb.StallError
 	if !errors.As(err, &se) {
 		t.Fatalf("got %v (%T), want *mcb.StallError", err, err)
@@ -286,7 +304,17 @@ func testStall(t *testing.T, f Factory) {
 	if len(se.Stalled) == 0 {
 		t.Errorf("stall carries no per-processor diagnostics")
 	}
-	timer.Reset(0) // unblock now; the drained goroutines satisfy leakCheck
+	if d := time.Duration(sawAbort.Load()); d == 0 || d > 2*stall+slack {
+		t.Errorf("live programs saw the stall abort after %v, want within %v", d, 2*stall+slack)
+	}
+	if tr.InProcess() {
+		if res != nil {
+			t.Errorf("the wedged program outlived AbortGrace, so Run must not return a Result")
+		}
+		if elapsed > 2*stall+grace+slack {
+			t.Errorf("Run returned after %v, want within %v (2*StallTimeout + AbortGrace)", elapsed, 2*stall+grace+slack)
+		}
+	}
 }
 
 // testCancel requires context cancellation mid-run to return a typed

@@ -89,8 +89,9 @@ const (
 	// small factor of the core count.
 	EngineGoroutine = mcb.EngineGoroutine
 	// EngineSharded rendezvouses ~GOMAXPROCS shard workers instead of p
-	// processors, batching idle stretches without waking their processors —
-	// the p >> cores engine (see DESIGN.md "Engine internals").
+	// processors; each worker steps its processors as coroutines and skips
+	// those sleeping through IdleN batches, so a cycle costs O(active) — the
+	// p >> cores engine (see DESIGN.md "Engine internals").
 	EngineSharded = mcb.EngineSharded
 )
 
